@@ -1,19 +1,23 @@
-"""Shared pieces of the workloads: the outcome record, percentiles, memory."""
+"""Shared pieces of the workloads: the outcome record, host speed, CPU time,
+memory."""
 
 from __future__ import annotations
 
-import math
 import os
 import resource
 import statistics
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 #: End-to-end metrics every workload reports: (name, unit).  What
 #: ``throughput_per_s`` counts differs per workload; each workload module's
-#: docstring defines it.  Latencies are printed as ``#`` figures instead:
-#: on a shared 2-core host they drift with the host's scheduling delays by
-#: more than the largest bound a metric may carry.
+#: docstring defines it, and whether the times behind ``setup_s`` and
+#: ``throughput_per_s`` are taken at the reference host speed
+#: (:func:`at_reference`, raw values printed as ``#`` figures) or raw.
+#: Latencies are printed as ``#`` figures only: on a shared 2-core host they
+#: drift with the host's scheduling delays by more than the largest bound a
+#: metric may carry.
 END_TO_END = (
     ("setup_s", "s"),
     ("peak_rss_mb", "MB"),
@@ -31,6 +35,14 @@ KNOBS = (
 
 #: Set-up is repeated this many times per run; its median is reported.
 SETUP_REPEATS = 3
+
+#: Iterations of the host-speed probe loop (see :func:`probe_ms`).
+PROBE_LOOPS = 20_000
+#: Probes taken just before and just after each timed set-up.
+SETUP_PROBES = 10
+#: The probe's time (ms) at full speed on a 2-core x86-64 VM with
+#: CPython 3.11; in-process times are reported at this host speed.
+PROBE_REF_MS = 1.3
 
 
 @dataclass
@@ -54,19 +66,40 @@ class Outcome:
         return all(passed for _, passed, _ in self.checks) and self.failed == 0
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile (0-100) by linear interpolation."""
-    ordered = sorted(values)
-    if not ordered:
-        return math.nan
-    pos = (len(ordered) - 1) * q / 100.0
-    lo = math.floor(pos)
-    hi = min(lo + 1, len(ordered) - 1)
-    return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
+def probe_ms(times: int = 1) -> List[float]:
+    """Run the host-speed probe ``times`` times; returns each time in ms.
+
+    On a shared VM the same code runs up to twice as fast in one minute as
+    in the next: the probe, a fixed pure-Python loop, took from 13 to 24 ms
+    at ten times its size within one minute while nothing else ran in the
+    VM.  In one round of ten seeds solve-cold's raw set-up and solves per
+    second spread 0.17 and 0.09 (IQR/median), sim-routed's events per
+    second 0.14.  So the work this process times for an end-to-end metric
+    is interleaved with probes and reported at the reference speed
+    (:func:`at_reference`); the same runs then spread 0.03, 0.04 and 0.03.
+    The probe is the benchmark's own code, so a change to the program moves
+    the metric and a change in host speed mostly does not.  The two cores
+    of this VM change speed independently (run side by side, the probe's
+    20-run blocks varied by 25-28 % on each, with a correlation of 0.11),
+    so probes here do not track another process's core, and work done in a
+    subprocess is reported raw.  Raw figures are printed alongside.
+    """
+    times_ms = []
+    for _ in range(times):
+        t0 = time.perf_counter()
+        acc = 0
+        for i in range(PROBE_LOOPS):
+            acc += i * i % 7
+        times_ms.append((time.perf_counter() - t0) * 1000.0)
+    return times_ms
 
 
-def median(values: Sequence[float]) -> float:
-    return statistics.median(values) if values else math.nan
+def at_reference(seconds: float, probes: Sequence[float]) -> float:
+    """``seconds`` of host time at the reference host speed, from the
+    probes (ms) taken next to them; unscaled when no probe ran."""
+    if not probes:
+        return seconds
+    return seconds * PROBE_REF_MS / statistics.median(probes)
 
 
 def self_peak_rss_mb() -> float:

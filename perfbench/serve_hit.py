@@ -27,16 +27,28 @@ each preceded and followed by the daemon's ``stats`` op:
   (p99 ≤ ``LIMIT_MS`` with every request answered ok, and a backlog at the
   last send under ``LIMIT_MS`` of work; a step is held up to
   ``LADDER_TRIES`` times, and the climb stops after two steps in a row
-  miss).  The highest rate that met it is reported as ``max_rps``, and the
-  heavy rate's p99 as ``hi_p99_ms``.
+  miss, or once ``--seconds`` have passed since the warm-up began).  The
+  highest rate that met it is reported as ``max_rps``, and the heavy
+  rate's p99 as ``hi_p99_ms``; 0 when no rate met it, which a slow spell
+  of the host can cause with every reply correct, so it is a figure, not
+  a check.  The warm-up and light windows have fixed sizes; ``--seconds``
+  bounds only the ladder.
 
 ``max_rps`` and the light latencies are reported alongside, not as
 end-to-end metrics: on a shared 2-core host the same code gave ``max_rps``
 from 1428 to 2856 req/s over ten runs, and the light p50 ranged from 1.0
 to 4.3 ms between daemons started a minute apart (p90/p99 more), because
 the host's wake-up and scheduling delays come and go by the minute.  The
-daemon's CPU time per request does not carry them: over ten runs its
-capacity spread 5-9 %.
+daemon's CPU time per request does not carry them: over ten seeds its
+capacity spread 3-9 % (IQR/median) in every round measured.
+
+``setup_s`` and ``throughput_per_s`` are raw here, unlike the in-process
+workloads': host-speed probes (``common.probe_ms``) in this process do
+not track the daemon's core, and taking these two at the probes'
+reference speed widened their spread over five seeds (set-up 0.16 to
+0.26, capacity 0.11 to 0.13).  Pinning the daemon to a core next to its
+probes is no way out: a process pinned before it imports numpy runs
+OpenBLAS with one thread instead of two.
 
 Checks: every reply is ``ok`` with ``meta.cache == "hit"`` and result bytes
 equal to the set-up answer for that spec; the set-up answers were misses;
@@ -54,6 +66,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from statistics import median
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -61,8 +74,6 @@ import numpy as np
 from common import (
     SETUP_REPEATS,
     Outcome,
-    median,
-    percentile,
     pid_cpu_seconds,
     pid_peak_rss_mb,
 )
@@ -250,7 +261,7 @@ class Window:
         return len(self.choices) - self.ok
 
     def p(self, q: float) -> float:
-        return percentile(self.latency, q)
+        return np.percentile(self.latency, q)
 
     def meets_limit(self) -> bool:
         return (
@@ -338,6 +349,17 @@ async def _window(conn: Conn, label: str, rate: float, samples: int,
     return window, delta
 
 
+async def _cpu_window(conn: Conn, daemon: Daemon, label: str,
+                      rng: np.random.Generator, refs: List[bytes],
+                      bodies: List[bytes]) -> tuple:
+    """A light window timed by the daemon's CPU seconds; returns the
+    window, its counter deltas, and those seconds."""
+    before = pid_cpu_seconds(daemon.proc.pid)
+    window, delta = await _window(conn, label, LIGHT_RPS, LIGHT_SAMPLES, rng,
+                                  refs, bodies)
+    return window, delta, pid_cpu_seconds(daemon.proc.pid) - before
+
+
 def _record(out: Outcome, window: Window, delta: Dict[str, int]) -> float:
     """Book a window's requests and checks into ``out``; returns its hit
     share from the daemon's counters."""
@@ -355,13 +377,14 @@ def _record(out: Outcome, window: Window, delta: Dict[str, int]) -> float:
     out.report[window.label] = (
         f"{window.rate:.0f} req/s, n={n}, p50 {window.p(50):.3f} ms, "
         f"p99 {window.p(99):.3f} ms, late p99 "
-        f"{percentile(window.late, 99):.3f} ms, backlog {window.backlog}, "
+        f"{np.percentile(window.late, 99):.3f} ms, backlog {window.backlog}, "
         f"failed {window.failed}"
     )
     return hit_share
 
 
-async def _measure(seed: int, trace: bool, work: Path) -> Outcome:
+async def _measure(seed: int, seconds: float, trace: bool,
+                   work: Path) -> Outcome:
     out = Outcome()
     specs = hot_set(seed)
     bodies = [_solve_body(spec) for spec in specs]
@@ -383,25 +406,28 @@ async def _measure(seed: int, trace: bool, work: Path) -> Outcome:
                 await conn.close()
                 daemon.stop()
         conn, daemon = conns[-1], daemons[-1]
+        start = time.perf_counter()
 
         # The first requests after set-up see a cold daemon (heap growth,
         # cache pages); a warm-up window at the light rate absorbs them.
         warm, delta = await _window(conn, "warmup", LIGHT_RPS, WARMUP_SAMPLES,
                                     rng, refs, bodies)
         _record(out, warm, delta)
-        cpu_before = pid_cpu_seconds(daemon.proc.pid)
-        light, delta = await _window(conn, "light", LIGHT_RPS, LIGHT_SAMPLES,
-                                     rng, refs, bodies)
-        light_cpu = pid_cpu_seconds(daemon.proc.pid) - cpu_before
+        light, delta, light_cpu = await _cpu_window(
+            conn, daemon, "light", rng, refs, bodies)
         _record(out, light, delta)
         if trace:
-            return await _traced(out, work, specs, bodies, rng, light.p(50),
+            return await _traced(out, work, specs, bodies, rng, light_cpu,
                                  conns, daemons)
 
         max_rps = 0.0
         hi_p99 = float("nan")
         missed_steps = 0
+        ladder_end = "top rate reached"
         for step in range(LADDER_STEPS):
+            if time.perf_counter() - start >= seconds:
+                ladder_end = "--seconds spent"
+                break
             rate = HEAVY_RPS * LADDER_FACTOR ** step
             # A step is held up to LADDER_TRIES times until it meets the
             # limit, and the climb ends only after two steps in a row miss:
@@ -419,18 +445,18 @@ async def _measure(seed: int, trace: bool, work: Path) -> Outcome:
             else:
                 missed_steps += 1
                 if missed_steps == 2:
+                    ladder_end = "two steps missed the limit"
                     break
         peak = daemon.peak_rss_mb()
         out.report.update({
             "light_daemon_cpu_s": round(light_cpu, 3),
             "max_rps": round(max_rps, 1),
+            "ladder_end": ladder_end,
             "hi_p99_ms": round(hi_p99, 3),
             "light_p50_ms": round(light.p(50), 3),
             "light_p90_ms": round(light.p(90), 3),
             "light_p99_ms": round(light.p(99), 3),
         })
-        out.check("a ladder rate meets the latency limit", max_rps > 0,
-                  f"max_rps {max_rps:.0f}")
         out.metrics = {
             "setup_s": median(setups),
             "peak_rss_mb": peak,
@@ -454,9 +480,14 @@ def _window_requests(label: str):
     return keep
 
 
-async def _traced(out, work, specs, bodies, rng, plain_p50, conns,
+async def _traced(out, work, specs, bodies, rng, plain_cpu, conns,
                   daemons) -> Outcome:
-    """Repeat set-up and the light window on a daemon with spans on."""
+    """Repeat set-up and the light window on a daemon with spans on.
+
+    ``plain_cpu`` is the untraced daemon's CPU seconds over its light
+    window; ``trace_overhead`` compares CPU per request, the primary
+    metric, taken the same way.
+    """
     from layers import REQUEST_METRICS, layer_metrics, spans_path
     from spans import Tracer
 
@@ -468,8 +499,8 @@ async def _traced(out, work, specs, bodies, rng, plain_p50, conns,
     warm, delta = await _window(conn, "tracedwarmup", LIGHT_RPS,
                                 WARMUP_SAMPLES, rng, refs, bodies)
     _record(out, warm, delta)
-    window, delta = await _window(conn, "traced", LIGHT_RPS, LIGHT_SAMPLES,
-                                  rng, refs, bodies)
+    window, delta, traced_cpu = await _cpu_window(
+        conn, daemon, "traced", rng, refs, bodies)
     hit_share = _record(out, window, delta)
     cache = (await conn.stats("traced-final"))["cache"]
     await conn.close()
@@ -497,10 +528,10 @@ async def _traced(out, work, specs, bodies, rng, plain_p50, conns,
             [m.get("batch_size", 0) for m in metas]),
         "service.cache_hit_share": cache.get("hits", 0) / lookups
         if lookups else 0.0,
-        "trace_overhead": window.p(50) / plain_p50 - 1.0,
+        "trace_overhead": traced_cpu / plain_cpu - 1.0,
     })
     return out
 
 
 def run(seed: int, seconds: float, trace: bool, work: Path) -> Outcome:
-    return asyncio.run(_measure(seed, trace, work))
+    return asyncio.run(_measure(seed, seconds, trace, work))

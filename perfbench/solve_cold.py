@@ -23,9 +23,16 @@ run checks every result: converged, feasible under
 ``|ΔF| <= ε·max(1, |F|)``), so a rewrite of a stage that stops one iteration
 earlier or later still passes, a wrong allocation does not.
 
-Metrics: ``throughput_per_s`` is solves ÷ wall time of the rounds, and
-``setup_s`` is the time to build the first round's configs (median of three
-builds).  The p50 and p90 of per-solve latency are reported alongside.
+Metrics: ``throughput_per_s`` is solves ÷ their summed solve times, and
+``setup_s`` is the time to build one round's configs.  Each round's configs
+are built three times just before the round is solved, and ``setup_s`` is
+the median over every build of the run: a build takes a fifth of a second,
+and on a shared host one taken only at the start follows the host's speed
+at that moment.  Both are taken at the reference host speed
+(``common.at_reference``: each solve is scaled by the ``SOLVE_PROBES``
+probes just before and just after it, each build by ``SETUP_PROBES``
+before and as many after).  The
+p50 and p90 of per-solve latency are reported alongside, raw.
 """
 
 from __future__ import annotations
@@ -33,16 +40,18 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
+from statistics import median
 from typing import Any, Dict, List
 
 import numpy as np
 
 from common import (
     KNOBS,
+    SETUP_PROBES,
     SETUP_REPEATS,
     Outcome,
-    median,
-    percentile,
+    at_reference,
+    probe_ms,
     self_peak_rss_mb,
 )
 
@@ -51,6 +60,8 @@ POOL_PATH = Path(__file__).resolve().parent / "solve_cold_pool.json"
 BLOCK = 4
 POOL_BLOCKS = 96
 STRATA = 32
+#: Host-speed probes run between two solves.
+SOLVE_PROBES = 3
 #: Objective tolerance as a multiple of the config's stopping tolerance ε.
 OBJECTIVE_RTOL_FACTOR = 10.0
 
@@ -131,13 +142,19 @@ def _objective_ok(config, objective: float, reference: float) -> bool:
 
 
 def _solve_round(pool, indices, configs, out: Outcome, tracer=None) -> tuple:
-    """Solve one round; returns per-solve latencies (ms) and wall time (s)."""
+    """Solve one round; returns the latencies (ms) of the solves that
+    returned, the same at the reference host speed (s), and the service.
+
+    ``SOLVE_PROBES`` host-speed probes run between solves; each solve is
+    scaled by the probes just before and just after it.
+    """
     from repro.api.service import SolverService
     from repro.core.problem import QuHEProblem
 
     service = SolverService(cache_size=0)
     latencies: List[float] = []
-    start = time.perf_counter()
+    ref_s: List[float] = []
+    before = probe_ms(SOLVE_PROBES)
     for index, config in zip(indices, configs):
         recipe = pool[index]
         out.attempted += 1
@@ -151,8 +168,13 @@ def _solve_round(pool, indices, configs, out: Outcome, tracer=None) -> tuple:
         except Exception as exc:  # noqa: BLE001 - counted, run continues
             out.failed += 1
             out.check("every solve succeeds", False, f"{index}: {exc!r}")
+            before = probe_ms(SOLVE_PROBES)
             continue
-        latencies.append((time.perf_counter() - t0) * 1000.0)
+        took = time.perf_counter() - t0
+        after = probe_ms(SOLVE_PROBES)
+        latencies.append(took * 1000.0)
+        ref_s.append(at_reference(took, before + after))
+        before = after
         ok = (
             result.converged
             and QuHEProblem(config).is_feasible(result.allocation)
@@ -166,7 +188,7 @@ def _solve_round(pool, indices, configs, out: Outcome, tracer=None) -> tuple:
                 f"objective={result.objective!r} "
                 f"reference={recipe['objective']!r}",
             )
-    return latencies, time.perf_counter() - start, service
+    return latencies, ref_s, service
 
 
 def run(seed: int, seconds: float, trace: bool, work: Path) -> Outcome:
@@ -175,29 +197,30 @@ def run(seed: int, seconds: float, trace: bool, work: Path) -> Outcome:
     out = Outcome()
     pool = load_pool()
     plan = rounds(pool, seed)
-    setups = []
-    for _ in range(SETUP_REPEATS):
-        t0 = time.perf_counter()
-        first = [build(pool[i]) for i in plan[0]]
-        setups.append(time.perf_counter() - t0)
-
     window = seconds / 2.0 if trace else seconds
+    setups: List[tuple] = []
     latencies: List[float] = []
     configs: List[Any] = []
+    ref_s: List[float] = []
     walls: List[float] = []
-    start = time.perf_counter()
     # Stop once another round would end more than half a round past the
-    # window (or the pool runs out).
+    # window of solving time (or the pool runs out).
     while not walls or (
-        len(walls) < len(plan)
-        and time.perf_counter() - start + walls[-1] / 2.0 < window
+        len(walls) < len(plan) and sum(walls) + walls[-1] / 2.0 < window
     ):
         indices = plan[len(walls)]
-        round_configs = first if not walls else [build(pool[i]) for i in indices]
-        lat, wall, _ = _solve_round(pool, indices, round_configs, out)
+        for _ in range(SETUP_REPEATS):
+            probes = probe_ms(SETUP_PROBES)
+            t0 = time.perf_counter()
+            round_configs = [build(pool[i]) for i in indices]
+            took = time.perf_counter() - t0
+            probes += probe_ms(SETUP_PROBES)
+            setups.append((took, at_reference(took, probes)))
+        lat, ref, _ = _solve_round(pool, indices, round_configs, out)
         latencies += lat
+        ref_s += ref
         configs += round_configs
-        walls.append(wall)
+        walls.append(sum(lat) / 1000.0)
     solved = len(configs)
     distinct = len({config_fingerprint(c) for c in configs})
     out.check("distinct fingerprints = N", distinct == solved,
@@ -214,12 +237,16 @@ def run(seed: int, seconds: float, trace: bool, work: Path) -> Outcome:
     })
     if not trace:
         out.metrics = {
-            "setup_s": median(setups),
+            "setup_s": median(ref for _, ref in setups),
             "peak_rss_mb": self_peak_rss_mb(),
-            "throughput_per_s": len(latencies) / sum(walls),
+            "throughput_per_s": len(ref_s) / sum(ref_s),
         }
-        out.report["p50_ms"] = round(percentile(latencies, 50), 3)
-        out.report["p90_ms"] = round(percentile(latencies, 90), 3)
+        out.report["raw_setup_s"] = round(median(raw for raw, _ in setups), 4)
+        out.report["raw_throughput_per_s"] = round(
+            len(latencies) / sum(walls), 4)
+        if latencies:
+            out.report["p50_ms"] = round(np.percentile(latencies, 50), 3)
+            out.report["p90_ms"] = round(np.percentile(latencies, 90), 3)
         return out
 
     from layers import install_driver, layer_metrics, spans_path
@@ -228,8 +255,8 @@ def run(seed: int, seconds: float, trace: bool, work: Path) -> Outcome:
     tracer = Tracer()
     install_driver(tracer)
     try:
-        _, traced_wall, service = _solve_round(
-            pool, plan[0], first, out, tracer)
+        _, traced, service = _solve_round(
+            pool, plan[0], configs[:STRATA], out, tracer)
     finally:
         tracer.unwrap()
     tracer.dump(spans_path(work, "solve-cold"))
@@ -238,7 +265,7 @@ def run(seed: int, seconds: float, trace: bool, work: Path) -> Outcome:
     out.metrics = layer_metrics(tracer, ops=len(plan[0]), extra={
         "service.cache_hit_share": info.get("hits", 0) / lookups
         if lookups else 0.0,
-        "trace_overhead": traced_wall / walls[0] - 1.0,
+        "trace_overhead": sum(traced) / sum(ref_s[:len(traced)]) - 1.0,
     })
     stages = sum(out.metrics[f"stage{k}.ms"] for k in (1, 2, 3))
     share = stages / out.metrics["quhe.solve_ms"]
