@@ -12,7 +12,9 @@ closed-loop generator from :mod:`repro.serve.bench` and records:
 * ``serve_coalesce_proof`` — N simultaneous identical requests must reach
   the backend as exactly **one** solve,
 * ``serve_identity`` — a daemon response must be byte-identical to a direct
-  ``SolverService.solve`` sharing the same sqlite cache,
+  ``SolverService.solve`` sharing the same sqlite cache, and a warm
+  sqlite-hit reply's ``result`` bytes must equal the solved reply's (the
+  hit splices the stored text the solve encoded),
 * ``serve_availability`` — a supervised-worker run under a seeded
   ``serve.worker`` crash storm with the retrying client: non-overload
   success must stay >= 99% *and* the storm must actually kill workers
@@ -196,51 +198,69 @@ def bench_availability(
     )
 
 
+def _result_bytes(line: bytes) -> bytes:
+    """The ``result`` value of a raw reply line (it is always the last key)."""
+    start = line.index(b'"result": ') + len(b'"result": ')
+    return line[start:-2]
+
+
 def identity_check(seed: int) -> BenchResult:
-    """Daemon result vs direct SolverService.solve through a shared cache."""
+    """Daemon result vs direct SolverService.solve through a shared cache,
+    and a warm sqlite hit's raw reply bytes vs the solved reply's."""
     from repro import io as repro_io
     from repro.api.service import SolverService
     from repro.serve import (
         AllocationServer,
-        ServeClient,
+        ServeRequest,
         ServeSettings,
         SqliteResultCache,
     )
+    from repro.serve.protocol import decode_line, encode_line
 
     spec = sweep_specs(1, seed=seed)[0]
 
-    async def _go(db: str) -> dict:
+    async def _go(db: str) -> tuple:
+        socket_path = str(Path(db).parent / "s.sock")
         server = AllocationServer(
-            ServeSettings(
-                socket_path=str(Path(db).parent / "s.sock"), cache_db=db
-            )
+            ServeSettings(socket_path=socket_path, cache_db=db)
         )
         await server.start()
         try:
-            client = await ServeClient.connect(
-                socket_path=server.settings.socket_path
+            reader, writer = await asyncio.open_unix_connection(
+                socket_path, limit=1 << 22
             )
-            response = await client.solve(spec)
-            response.raise_for_error()
-            await client.close()
-            return response.result
+            lines = []
+            for rid in ("solved", "hit"):
+                request = ServeRequest(id=rid, op="solve", spec=spec)
+                writer.write(encode_line(request.to_dict()))
+                await writer.drain()
+                lines.append(await reader.readline())
+            writer.close()
+            await writer.wait_closed()
+            return tuple(lines)
         finally:
             await server.stop()
 
     with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
         db = str(Path(tmp) / "cache.db")
-        daemon_payload = asyncio.run(_go(db))
+        solved, hit = asyncio.run(_go(db))
         direct = SolverService(cache=SqliteResultCache(db))
         direct_payload = repro_io.result_to_dict(direct.solve(spec.build()))
+    daemon_payload = decode_line(solved)["result"]
     identical = json.dumps(daemon_payload, sort_keys=True) == json.dumps(
         direct_payload, sort_keys=True
     )
+    hit_identical = (
+        decode_line(hit)["meta"].get("cache") == "hit"
+        and _result_bytes(hit) == _result_bytes(solved)
+    )
     print(f"identity check: daemon payload byte-identical to direct solve "
-          f"via shared sqlite cache: {identical}\n")
+          f"via shared sqlite cache: {identical}; warm sqlite-hit reply "
+          f"bytes equal the solved reply's: {hit_identical}\n")
     return BenchResult(
         op="serve_identity",
         backend="daemon",
-        params={"identical": identical},
+        params={"identical": identical, "hit_identical": hit_identical},
         reps=1,
         seconds_per_op=float("nan"),
     )
@@ -291,6 +311,10 @@ def main(argv=None) -> int:
             ),
             "byte identity": all(
                 r.params["identical"] for r in results
+                if r.op == "serve_identity"
+            ),
+            "sqlite hit splice identity": all(
+                r.params["hit_identical"] for r in results
                 if r.op == "serve_identity"
             ),
             "sustained byte identity": all(

@@ -47,7 +47,7 @@ from repro.core.batched import BatchedQuHE
 from repro.core.config import SystemConfig
 from repro.core.quhe import QuHE, QuHEResult
 from repro.core.solution import Allocation
-from repro.errors import SolverError
+from repro.errors import ArtifactError, SolverError
 from repro.quantum.topology import QKDNetwork
 from repro.utils.parallel import ProgressCallback, parallel_map
 
@@ -193,6 +193,12 @@ def _degraded_solve(
     return dataclasses.replace(solver.solve(initial), degraded=True)
 
 
+def _result_text(result: QuHEResult) -> str:
+    from repro import io as repro_io
+
+    return repro_io.payload_text(repro_io.result_to_dict(result))
+
+
 def _solve_config(config: SystemConfig) -> QuHEResult:
     """One full QuHE solve (module-level: picklable for process pools).
 
@@ -230,6 +236,14 @@ class LRUResultCache:
         clear() -> None
         len(backend) -> int                # current entry count
 
+    Backends that serve the ``repro serve`` daemon also speak the text
+    extension — ``get_text(key)`` returning the result's canonical text
+    (:func:`repro.io.payload_text`) and ``put_payload(key, payload, *,
+    text, result)`` — so hits splice stored text instead of re-encoding an
+    object.  Here the text is memoized next to the object: handed in by
+    ``put_payload`` or encoded on the first ``get_text`` probe; ``get``
+    still returns the object itself, with no decode.
+
     Alternative backends (e.g. the sqlite-backed
     :class:`repro.serve.cache.SqliteResultCache`, shared across worker
     processes) plug into ``SolverService(cache=...)`` unchanged.  Backends
@@ -242,6 +256,7 @@ class LRUResultCache:
             raise ValueError("capacity must be non-negative")
         self.capacity = int(capacity)
         self._entries: "OrderedDict[str, QuHEResult]" = OrderedDict()
+        self._texts: Dict[str, str] = {}
 
     def get(self, key: str) -> Optional[QuHEResult]:
         result = self._entries.get(key)
@@ -249,16 +264,50 @@ class LRUResultCache:
             self._entries.move_to_end(key)
         return result
 
+    def get_text(self, key: str) -> Optional[str]:
+        result = self.get(key)
+        if result is None:
+            return None
+        text = self._texts.get(key)
+        if text is None:
+            text = self._texts[key] = _result_text(result)
+        return text
+
     def put(self, key: str, result: QuHEResult) -> None:
+        self._store(key, result, None)
+
+    def put_payload(
+        self,
+        key: str,
+        payload: Dict[str, Any],
+        *,
+        text: Optional[str] = None,
+        result: Optional[QuHEResult] = None,
+    ) -> None:
+        if result is None:
+            from repro import io as repro_io
+
+            result = repro_io.result_from_dict(payload)
+        self._store(key, result, text)
+
+    def _store(
+        self, key: str, result: QuHEResult, text: Optional[str]
+    ) -> None:
         if self.capacity == 0:
             return
         self._entries[key] = result
         self._entries.move_to_end(key)
+        if text is None:
+            self._texts.pop(key, None)
+        else:
+            self._texts[key] = text
         while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+            evicted, _ = self._entries.popitem(last=False)
+            self._texts.pop(evicted, None)
 
     def clear(self) -> None:
         self._entries.clear()
+        self._texts.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -364,26 +413,70 @@ class SolverService:
         """
         return self._cache_get(key)
 
-    def cache_store_payload(self, key: str, payload: Dict[str, Any]) -> None:
-        """Install a raw ``quhe_result`` codec payload under ``key``.
+    def cache_lookup_text(self, key: str) -> Optional[str]:
+        """Probe the result cache for a result's canonical text.
 
-        The write-side counterpart of :meth:`cache_lookup` for serving
-        layers whose results arrive as payload dicts (the supervised worker
-        pool ships solves back over a pipe as codec payloads).  A
-        payload-capable backend (:class:`~repro.serve.cache.SqliteResultCache`)
-        stores the payload verbatim — preserving byte-identity between what
-        the daemon answered and what the cache replays; other backends
-        decode through the codec first.  Counts as neither hit nor miss.
+        Counts a hit or miss exactly like :meth:`cache_lookup`; the text
+        is :func:`repro.io.payload_text` of the result's codec payload, as
+        stored by a text-capable backend (both built-in backends are) or
+        encoded here for any other.  A stored row that fails its integrity
+        checks raises :class:`~repro.errors.ArtifactError` and is booked as
+        a miss — the caller re-solves.
+        """
+        with self._lock:
+            get_text = getattr(self._cache, "get_text", None)
+            try:
+                if get_text is not None:
+                    text = get_text(key)
+                else:
+                    result = self._cache.get(key)
+                    text = None if result is None else _result_text(result)
+            except ArtifactError:
+                self._misses += 1
+                raise
+            if text is not None:
+                self._hits += 1
+            else:
+                self._misses += 1
+            return text
+
+    def cache_store_payload(
+        self,
+        key: str,
+        payload: Dict[str, Any],
+        *,
+        text: Optional[str] = None,
+        result: Optional[QuHEResult] = None,
+    ) -> None:
+        """Install a ``quhe_result`` codec payload under ``key``.
+
+        The write-side counterpart of :meth:`cache_lookup_text` for serving
+        layers, which encode each result once and reply with that text.
+        ``text`` (the payload's :func:`repro.io.payload_text`) and
+        ``result`` (the decoded object) are passed when the caller holds
+        them: a text-capable backend stores the text verbatim — what the
+        daemon answered is what later hits replay — and keeps the object
+        where it keeps objects; other backends get the object, decoded from
+        ``payload`` if not given.  Counts as neither hit nor miss.
         """
         backend = self._cache
-        put_payload = getattr(backend, "put_payload", None)
         with self._lock:
+            put_payload = getattr(backend, "put_payload", None)
             if put_payload is not None:
-                put_payload(key, payload)
+                put_payload(key, payload, text=text, result=result)
             else:
-                from repro import io as repro_io
+                if result is None:
+                    from repro import io as repro_io
 
-                backend.put(key, repro_io.result_from_dict(payload))
+                    result = repro_io.result_from_dict(payload)
+                backend.put(key, result)
+
+    def cache_discard(self, key: str) -> None:
+        """Drop ``key`` from a backend that can hold bad rows (``discard``)."""
+        discard = getattr(self._cache, "discard", None)
+        with self._lock:
+            if discard is not None:
+                discard(key)
 
     def _cache_get(self, key: str) -> Optional[QuHEResult]:
         with self._lock:
@@ -466,13 +559,17 @@ class SolverService:
         use_cache: bool = True,
         initials: Optional[Sequence[Optional[Allocation]]] = None,
         count_cache_stats: bool = True,
+        store_results: bool = True,
     ) -> List[QuHEResult]:
         """Solve a batch of configurations through the chosen backend.
 
         ``count_cache_stats=False`` makes cache probes and in-batch dedup
         invisible to :meth:`cache_info` — for callers (the serve daemon)
         that already counted each logical request at their own boundary and
-        would otherwise book the same request twice.
+        would otherwise book the same request twice.  ``store_results=False``
+        still reads the cache but leaves storing the fresh solves to the
+        caller (the daemon stores each result with the text it encoded for
+        its reply, via :meth:`cache_store_payload`).
 
         ``backend`` is one of ``"batched"`` (stack all pending configs into
         one vectorized :class:`~repro.core.batched.BatchedQuHE` pass),
@@ -619,7 +716,7 @@ class SolverService:
                 )
             for i, result in zip(pending, solved):
                 results[keys[i]] = result
-                if use_cache and cacheable[i]:
+                if store_results and use_cache and cacheable[i]:
                     self._cache_put(keys[i], result)
         return [results[key] for key in keys]
 
@@ -629,6 +726,7 @@ class SolverService:
         *,
         use_cache: bool = True,
         count_cache_stats: bool = True,
+        store_results: bool = True,
     ) -> SolutionBatch:
         """Solve a columnar :class:`~repro.core.batch.ConfigBatch` natively.
 
@@ -636,8 +734,9 @@ class SolverService:
         feed :meth:`BatchedQuHE.solve_config_batch` directly — no per-call
         object→array stacking, no shape regrouping — and the result is a
         :class:`~repro.core.batch.SolutionBatch` whose ``[i]`` views equal
-        the scalar results.  Fingerprint caching, dedup and the degraded
-        per-config fallback behave exactly as in :meth:`solve_many`.
+        the scalar results.  Fingerprint caching, dedup, the degraded
+        per-config fallback and both cache flags behave exactly as in
+        :meth:`solve_many`.
         """
         self.last_backend = "batched"
         k = len(batch)
@@ -675,7 +774,7 @@ class SolverService:
             except SolverError:
                 solved = [_solve_config(batch[i]) for i in range(k)]
                 solution = SolutionBatch.from_results(solved)
-            if use_cache:
+            if store_results and use_cache:
                 for i in range(k):
                     if cacheable[i]:
                         self._cache_put(keys[i], solution[i])
@@ -689,6 +788,6 @@ class SolverService:
                 solved = [_solve_config(batch[i]) for i in pending]
             for i, result in zip(pending, solved):
                 results[keys[i]] = result
-                if use_cache and cacheable[i]:
+                if store_results and use_cache and cacheable[i]:
                     self._cache_put(keys[i], result)
         return SolutionBatch.from_results([results[key] for key in keys])

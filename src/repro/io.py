@@ -347,6 +347,24 @@ def result_from_dict(data: Dict) -> Any:
     return codec.decode(data)
 
 
+def payload_text(payload: Dict) -> str:
+    """The canonical text of a codec payload: sorted-key JSON.
+
+    The serving caches store this text once per result and the daemon
+    splices it verbatim into replies, so every copy of one result — the
+    solved reply, each hit, each coalesced waiter, the cache row — is the
+    same bytes by construction.
+    """
+    return json.dumps(payload, sort_keys=True)
+
+
+def codec_version(kind: Any) -> Optional[int]:
+    """The current ``format_version`` of codec ``kind`` (None if unknown)."""
+    _ensure_builtin_codecs()
+    codec = _CODECS_BY_KIND.get(kind)
+    return None if codec is None else codec.version
+
+
 def save_result(obj: Any, path: PathLike) -> Path:
     """Write any registered result object to a JSON file (atomically)."""
     return atomic_write_text(path, json.dumps(result_to_dict(obj), indent=2) + "\n")

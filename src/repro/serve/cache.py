@@ -12,12 +12,19 @@ single sqlite database:
 * **fingerprint-keyed** — rows are keyed by
   :func:`~repro.api.service.config_fingerprint` digests, exactly like the
   in-memory cache;
-* **codec payloads** — values are the versioned ``quhe_result`` JSON of
-  :func:`repro.io.result_to_dict`, so a cache row is a portable artifact:
-  any process that can read the schema can decode the result, and the
-  daemon can forward stored payloads byte-for-byte;
+* **stored text** — a row holds the canonical text of a versioned codec
+  payload (:func:`repro.io.payload_text` of
+  :func:`repro.io.result_to_dict`), its ``kind`` and ``format_version``,
+  and a SHA-256 ``digest`` over key, kind, version and text.  The daemon
+  splices that text into replies without parsing it, so every read
+  (:meth:`SqliteResultCache.get_text`) checks the digest and the codec
+  version instead: a row that fails raises
+  :class:`~repro.errors.ArtifactError`, never returns other bytes;
 * **LRU eviction** — every access bumps a monotonic ``seq``; ``put`` prunes
-  rows beyond ``capacity`` in ``seq`` order (oldest-used first).
+  rows beyond ``capacity`` in ``seq`` order (oldest-used first);
+* **versioned schema** — the database carries ``PRAGMA user_version``; one
+  stamped with an older layout is emptied and rebuilt on open (it is a
+  cache, so dropping rows only costs re-solves).
 
 Corruption is a named failure, not a crash: a database sqlite cannot open
 or read raises :class:`~repro.errors.ArtifactError` carrying the path.
@@ -25,6 +32,7 @@ or read raises :class:`~repro.errors.ArtifactError` carrying the path.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sqlite3
 import threading
@@ -32,23 +40,38 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from repro import faults as _faults
+from repro import io as repro_io
 from repro.errors import ArtifactError
 
-__all__ = ["SqliteResultCache"]
+__all__ = ["SCHEMA_VERSION", "SqliteResultCache"]
 
 PathLike = Union[str, Path]
 
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS results (
-    key     TEXT PRIMARY KEY,
-    payload TEXT NOT NULL,
-    seq     INTEGER NOT NULL
-);
-CREATE INDEX IF NOT EXISTS results_seq ON results (seq);
-"""
+#: Layout of the ``results`` table, stamped as ``PRAGMA user_version``.
+#: Version 2 added ``kind``/``version``/``digest``; a version-0/1 database
+#: (the original three-column table) is rebuilt empty on open.
+SCHEMA_VERSION = 2
+
+_SCHEMA = (
+    """CREATE TABLE results (
+        key     TEXT PRIMARY KEY,
+        payload TEXT NOT NULL,
+        kind    TEXT NOT NULL DEFAULT '',
+        version INTEGER NOT NULL DEFAULT 0,
+        digest  TEXT NOT NULL DEFAULT '',
+        seq     INTEGER NOT NULL
+    )""",
+    "CREATE INDEX results_seq ON results (seq)",
+)
 
 #: How long a writer waits on a cross-process lock before giving up (s).
 _BUSY_TIMEOUT_S = 10.0
+
+
+def _row_digest(key: str, kind: Any, version: Any, text: str) -> str:
+    """SHA-256 binding a row's text to its key, kind and format version."""
+    blob = f"{key}\n{kind}\n{version}\n{text}".encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
 
 
 class SqliteResultCache:
@@ -91,16 +114,48 @@ class SqliteResultCache:
                     check_same_thread=False,
                     isolation_level=None,  # autocommit; we issue BEGINs
                 )
+            except sqlite3.DatabaseError as exc:
+                raise self._unusable("unusable", exc) from exc
+            try:
                 conn.execute("PRAGMA journal_mode=WAL")
                 conn.execute("PRAGMA synchronous=NORMAL")
-                conn.executescript(_SCHEMA)
+                self._migrate(conn)
             except sqlite3.DatabaseError as exc:
-                raise ArtifactError(
-                    f"{self.path}: unusable result-cache database: {exc}",
-                    path=str(self.path),
-                ) from exc
+                conn.close()
+                raise self._unusable("unusable", exc) from exc
+            except BaseException:
+                conn.close()
+                raise
             self._conn = conn
         return self._conn
+
+    def _migrate(self, conn: sqlite3.Connection) -> None:
+        """Bring the database to :data:`SCHEMA_VERSION`.
+
+        A fresh file and one stamped with an older layout are (re)built
+        empty under a write lock, so concurrent openers migrate once; a
+        database from a newer build is refused rather than emptied under it.
+        """
+        if conn.execute("PRAGMA user_version").fetchone()[0] == SCHEMA_VERSION:
+            return
+        conn.execute("BEGIN IMMEDIATE")
+        try:
+            found = conn.execute("PRAGMA user_version").fetchone()[0]
+            if found > SCHEMA_VERSION:
+                raise ArtifactError(
+                    f"{self.path}: result-cache schema {found} is newer than "
+                    f"this build's {SCHEMA_VERSION}",
+                    path=str(self.path),
+                )
+            if found < SCHEMA_VERSION:
+                conn.execute("DROP TABLE IF EXISTS results")
+                for statement in _SCHEMA:
+                    conn.execute(statement)
+                conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+            conn.execute("COMMIT")
+        except BaseException:
+            self._rollback(conn)
+            raise
 
     def close(self) -> None:
         """Close the connection (the database remains valid on disk)."""
@@ -122,8 +177,6 @@ class SqliteResultCache:
         payload = self.get_payload(key)
         if payload is None:
             return None
-        from repro import io as repro_io
-
         try:
             return repro_io.result_from_dict(payload)
         except ValueError as exc:
@@ -134,49 +187,83 @@ class SqliteResultCache:
 
     def put(self, key: str, result: Any) -> None:
         """Store a result object (serialized through the quhe_result codec)."""
-        from repro import io as repro_io
-
         self.put_payload(key, repro_io.result_to_dict(result))
 
     def clear(self) -> None:
         with self._lock:
             self._execute("DELETE FROM results")
 
+    def discard(self, key: str) -> None:
+        """Delete the row for ``key`` if there is one."""
+        with self._lock:
+            self._execute("DELETE FROM results WHERE key = ?", (str(key),))
+
     def __len__(self) -> int:
         with self._lock:
             row = self._execute("SELECT COUNT(*) FROM results").fetchone()
         return int(row[0])
 
-    # -- payload-level access (used by the daemon for byte-stable replies) ---
+    # -- text-level access (the daemon splices stored text into replies) ----
 
-    def get_payload(self, key: str) -> Optional[Dict[str, Any]]:
-        """The raw codec payload for ``key`` (bumps its LRU sequence)."""
+    def get_text(self, key: str) -> Optional[str]:
+        """The verified stored text for ``key`` (bumps its LRU sequence).
+
+        The text is returned exactly as stored, never parsed — so it is
+        checked instead: the row's digest must match its key, kind, version
+        and text, and a row of a registered codec kind must carry that
+        codec's current ``format_version``.  A row failing either check
+        raises :class:`~repro.errors.ArtifactError`; no other text is ever
+        returned.
+        """
+        key = str(key)
         with self._lock:
             conn = self._connection()
             try:
                 conn.execute("BEGIN IMMEDIATE")
                 row = conn.execute(
-                    "SELECT payload FROM results WHERE key = ?", (str(key),)
+                    "SELECT payload, kind, version, digest FROM results"
+                    " WHERE key = ?",
+                    (key,),
                 ).fetchone()
                 if row is not None:
                     conn.execute(
                         "UPDATE results SET seq ="
                         " (SELECT COALESCE(MAX(seq), 0) + 1 FROM results)"
                         " WHERE key = ?",
-                        (str(key),),
+                        (key,),
                     )
                 conn.execute("COMMIT")
             except sqlite3.DatabaseError as exc:
                 self._rollback(conn)
-                raise ArtifactError(
-                    f"{self.path}: unreadable result-cache database: {exc}",
-                    path=str(self.path),
-                ) from exc
+                raise self._unusable("unreadable", exc) from exc
         if row is None:
             return None
+        text, kind, version, digest = row
+        if not isinstance(text, str) or digest != _row_digest(
+            key, kind, version, text
+        ):
+            raise ArtifactError(
+                f"{self.path}: corrupt cache payload for {key[:12]}…: "
+                "digest mismatch",
+                path=str(self.path),
+            )
+        current = repro_io.codec_version(kind)
+        if current is not None and version != current:
+            raise ArtifactError(
+                f"{self.path}: cache row for {key[:12]}… holds {kind} "
+                f"format_version {version!r}; this build reads {current}",
+                path=str(self.path),
+            )
+        return text
+
+    def get_payload(self, key: str) -> Optional[Dict[str, Any]]:
+        """The stored codec payload for ``key``, parsed (bumps its LRU seq)."""
+        text = self.get_text(key)
+        if text is None:
+            return None
         try:
-            payload = json.loads(row[0])
-        except json.JSONDecodeError as exc:
+            payload = json.loads(text)
+        except ValueError as exc:
             raise ArtifactError(
                 f"{self.path}: corrupt cache payload for {key[:12]}…: {exc}",
                 path=str(self.path),
@@ -188,19 +275,42 @@ class SqliteResultCache:
             )
         return payload
 
-    def put_payload(self, key: str, payload: Dict[str, Any]) -> None:
-        """Store a raw codec payload under ``key`` (evicting LRU overflow)."""
+    def put_payload(
+        self,
+        key: str,
+        payload: Dict[str, Any],
+        *,
+        text: Optional[str] = None,
+        result: Any = None,
+    ) -> None:
+        """Store a codec payload under ``key`` (evicting LRU overflow).
+
+        ``text`` is the payload's canonical text
+        (:func:`repro.io.payload_text`) when the caller already encoded it;
+        it is stored verbatim, so later hits splice exactly the bytes the
+        caller answered with.  ``result`` (the decoded object) is accepted
+        for protocol parity with the in-memory cache and not needed here.
+        """
         if self.capacity == 0:
             return
-        text = json.dumps(payload, sort_keys=True)
+        key = str(key)
+        if text is None:
+            text = repro_io.payload_text(payload)
+        kind = payload.get("kind")
+        kind = kind if isinstance(kind, str) else ""
+        version = payload.get("format_version")
+        version = version if type(version) is int else 0
+        digest = _row_digest(key, kind, version, text)
         with self._lock:
             conn = self._connection()
             try:
                 conn.execute("BEGIN IMMEDIATE")
                 conn.execute(
-                    "INSERT OR REPLACE INTO results (key, payload, seq) VALUES"
-                    " (?, ?, (SELECT COALESCE(MAX(seq), 0) + 1 FROM results))",
-                    (str(key), text),
+                    "INSERT OR REPLACE INTO results"
+                    " (key, payload, kind, version, digest, seq) VALUES"
+                    " (?, ?, ?, ?, ?,"
+                    "  (SELECT COALESCE(MAX(seq), 0) + 1 FROM results))",
+                    (key, text, kind, version, digest),
                 )
                 conn.execute(
                     "DELETE FROM results WHERE key NOT IN"
@@ -214,10 +324,7 @@ class SqliteResultCache:
                 conn.execute("COMMIT")
             except sqlite3.DatabaseError as exc:
                 self._rollback(conn)
-                raise ArtifactError(
-                    f"{self.path}: unwritable result-cache database: {exc}",
-                    path=str(self.path),
-                ) from exc
+                raise self._unusable("unwritable", exc) from exc
             except BaseException:
                 # An injected (non-sqlite) failure mid-transaction: release
                 # the write lock so other processes are not stuck behind it.
@@ -226,15 +333,18 @@ class SqliteResultCache:
 
     # -- internals -----------------------------------------------------------
 
+    def _unusable(self, state: str, exc: BaseException) -> ArtifactError:
+        return ArtifactError(
+            f"{self.path}: {state} result-cache database: {exc}",
+            path=str(self.path),
+        )
+
     def _execute(self, sql: str, params: tuple = ()) -> sqlite3.Cursor:
         conn = self._connection()
         try:
             return conn.execute(sql, params)
         except sqlite3.DatabaseError as exc:
-            raise ArtifactError(
-                f"{self.path}: unusable result-cache database: {exc}",
-                path=str(self.path),
-            ) from exc
+            raise self._unusable("unusable", exc) from exc
 
     @staticmethod
     def _rollback(conn: sqlite3.Connection) -> None:

@@ -189,9 +189,10 @@ class ServeResponse:
 
     Exactly one of ``result`` / ``stats`` / ``error`` is populated (``ping``
     answers carry only ``meta``).  ``result`` stays a *raw* ``quhe_result``
-    payload dict rather than a decoded object: the daemon forwards cached
-    payload bytes unmodified, which keeps responses byte-stable across the
-    cache and across processes.
+    payload dict rather than a decoded object.  On the wire the daemon
+    writes it as the result's stored canonical text, spliced into the line
+    unparsed, which keeps responses byte-stable across the cache and across
+    processes.
 
     >>> resp = ServeResponse(id="r1", ok=False,
     ...                      error={"type": "SolverError", "exit_code": 3,
@@ -307,10 +308,14 @@ def encode_line(payload: Mapping[str, Any]) -> bytes:
 
 
 def decode_line(line: bytes) -> Dict[str, Any]:
-    """Parse one protocol line; malformed input raises ConfigurationError."""
+    """Parse one protocol line; malformed input raises ConfigurationError.
+
+    ``ValueError`` covers bad UTF-8, bad JSON and integers past Python's
+    digit limit; ``RecursionError`` covers arrays nested past the stack.
+    """
     try:
         payload = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigurationError(f"malformed protocol line: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigurationError(

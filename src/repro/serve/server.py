@@ -5,14 +5,23 @@ Request lifecycle (op ``solve``)::
     line in ──► fault seam ──► spec → (config, fingerprint)   [memoized]
                   │
                   ├─ in-flight fingerprint match? ──► await that solve (coalesced)
-                  ├─ result-cache hit?            ──► immediate response (hit)
+                  ├─ result-cache hit?            ──► stored text (hit)
                   └─ admission queue
                         │  bounded: overflow → structured 503 (ServerOverloaded)
                         ▼
                   micro-batcher: first entry + up to ``max_batch-1`` more
                   within ``max_wait_ms``  ──►  SolverService.solve_many
-                  (backend="batched", in an executor thread)  ──► fan results
-                  back out to every waiter
+                  (backend="batched", in an executor thread)  ──► encode each
+                  distinct result once, store that text, fan it out to every
+                  waiter
+
+A result travels as its canonical text (:func:`repro.io.payload_text`),
+encoded once when solved and stored as-is in the result cache.  Every reply
+carrying it — solved, coalesced or hit — splices that text verbatim into
+the response line (:func:`_encode_response`), so all of them are the same
+bytes by construction and a hit never parses or re-encodes a result.  A
+cache row that fails its integrity checks is dropped and re-solved
+(``cache_corrupt`` in the stats), not answered with an error.
 
 Every stage updates counters surfaced by the ``stats`` op and the
 ``repro serve --status`` CLI.  The ``serve.request`` fault seam draws from
@@ -25,16 +34,19 @@ client's connection — the asyncio analogue of a killed worker.
 from __future__ import annotations
 
 import asyncio
+import json
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import faults as _faults
+from repro import io as repro_io
 from repro.api.service import SolverService, config_fingerprint
 from repro.core.batch import ConfigBatch
 from repro.core.config import SystemConfig
 from repro.errors import (
+    ArtifactError,
     ConfigurationError,
     FaultInjected,
     ServerOverloaded,
@@ -62,6 +74,21 @@ _SPEC_MEMO_CAPACITY = 4096
 
 class _ConnectionAbort(Exception):
     """Internal: a ``crash`` fault rule asked us to drop this connection."""
+
+
+def _encode_response(response: ServeResponse, text: Optional[str]) -> bytes:
+    """One reply line, with a result's stored ``text`` spliced in verbatim.
+
+    ``"result"`` sorts after every other key of a result-carrying reply
+    (``id``, ``meta``, ``ok``, ``protocol``), so closing the head object's
+    sorted JSON with ``"result": text`` yields exactly the bytes
+    :func:`~repro.serve.protocol.encode_line` would write for the parsed
+    payload — without parsing or re-encoding it.
+    """
+    if text is None:
+        return encode_line(response.to_dict())
+    head = json.dumps(response.to_dict(), sort_keys=True)
+    return (head[:-1] + ', "result": ' + text + "}\n").encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -122,7 +149,8 @@ class _Pending:
     key: str
     config: SystemConfig
     use_cache: bool
-    future: "asyncio.Future[Tuple[Dict[str, Any], Dict[str, Any]]]"
+    #: resolves to (result text, serving meta)
+    future: "asyncio.Future[Tuple[str, Dict[str, Any]]]"
     enqueued_at: float = 0.0
     #: The originating spec (supervised mode ships it to the worker; the
     #: inline path never reads it).
@@ -202,6 +230,7 @@ class AllocationServer:
             "faults_injected": 0,
             "connections": 0,
             "orphaned_results": 0,
+            "cache_corrupt": 0,
         }
 
     # -- lifecycle -----------------------------------------------------------
@@ -371,7 +400,7 @@ class AllocationServer:
                 payload = decode_line(line)
                 request_id = str(payload.get("id", ""))
                 request = ServeRequest.from_dict(payload)
-                response = await self._dispatch(request)
+                response, text = await self._dispatch(request)
             except _ConnectionAbort:
                 # The `crash` fault kind: this client's connection dies
                 # abruptly, the daemon (and every other connection) lives on.
@@ -384,10 +413,11 @@ class AllocationServer:
                 response = ServeResponse(
                     id=request_id, ok=False, error=error_payload(exc)
                 )
+                text = None
             self.stats["responses"] += 1
             try:
                 async with write_lock:
-                    writer.write(encode_line(response.to_dict()))
+                    writer.write(_encode_response(response, text))
                     await writer.drain()
             except (ConnectionError, RuntimeError, OSError):
                 # Client went away before its answer.  Its *result* is not
@@ -398,27 +428,32 @@ class AllocationServer:
         finally:
             self._active_requests -= 1
 
-    async def _dispatch(self, request: ServeRequest) -> ServeResponse:
+    async def _dispatch(
+        self, request: ServeRequest
+    ) -> Tuple[ServeResponse, Optional[str]]:
+        """The reply to ``request`` and the result text to splice into it."""
         await self._fire_request_seam()
+        if request.op == "solve":
+            return await self._dispatch_solve(request)
         if request.op == "ping":
-            return ServeResponse(id=request.id, ok=True, meta={"pong": True})
-        if request.op == "stats":
-            return ServeResponse(
+            response = ServeResponse(id=request.id, ok=True, meta={"pong": True})
+        elif request.op == "stats":
+            response = ServeResponse(
                 id=request.id, ok=True, stats=self.stats_snapshot()
             )
-        if request.op == "health":
-            return ServeResponse(
+        elif request.op == "health":
+            response = ServeResponse(
                 id=request.id, ok=True, stats=self.health_snapshot()
             )
-        if request.op == "drain":
+        else:  # drain
             # Reply immediately (the drain must not wait on its own
             # response); the actual wind-down runs as a background task.
             if self._drain_task is None:
                 self._drain_task = asyncio.create_task(self.drain())
-            return ServeResponse(
+            response = ServeResponse(
                 id=request.id, ok=True, meta={"draining": True}
             )
-        return await self._dispatch_solve(request)
+        return response, None
 
     async def _fire_request_seam(self) -> None:
         """The ``serve.request`` fault seam, interpreted asyncio-safely.
@@ -470,7 +505,9 @@ class AllocationServer:
             self._spec_memo.popitem(last=False)
         return entry
 
-    async def _dispatch_solve(self, request: ServeRequest) -> ServeResponse:
+    async def _dispatch_solve(
+        self, request: ServeRequest
+    ) -> Tuple[ServeResponse, str]:
         assert request.spec is not None  # enforced by ServeRequest validation
         if self._draining:
             raise ServerOverloaded(
@@ -489,23 +526,18 @@ class AllocationServer:
             if pending is not None:
                 self.stats["coalesced"] += 1
                 self.service.note_coalesced()
-                payload, meta = await pending
+                text, meta = await pending
                 return ServeResponse(
-                    id=request.id, ok=True, result=payload,
-                    meta={**meta, "cache": "coalesced"},
-                )
+                    id=request.id, ok=True, meta={**meta, "cache": "coalesced"}
+                ), text
 
         if request.use_cache:
-            cached = self.service.cache_lookup(key)
-            if cached is not None:
+            text = self._cached_text(key)
+            if text is not None:
                 self.stats["cache_hits"] += 1
-                from repro import io as repro_io
-
                 return ServeResponse(
-                    id=request.id, ok=True,
-                    result=repro_io.result_to_dict(cached),
-                    meta={"cache": "hit"},
-                )
+                    id=request.id, ok=True, meta={"cache": "hit"}
+                ), text
 
         if self._queue is None:
             raise ServerOverloaded("server not accepting work (stopped)")
@@ -525,11 +557,38 @@ class AllocationServer:
             ) from None
         if self.settings.coalesce:
             self._inflight[key] = future
-        payload, meta = await future
+        text, meta = await future
         return ServeResponse(
-            id=request.id, ok=True, result=payload,
-            meta={**meta, "cache": "solved"},
-        )
+            id=request.id, ok=True, meta={**meta, "cache": "solved"}
+        ), text
+
+    def _cached_text(self, key: str) -> Optional[str]:
+        """The cache's stored text for ``key``, or None on a miss.
+
+        A row that fails its integrity checks is a miss too: it is counted
+        in ``cache_corrupt`` and deleted, and the request re-solves (which
+        rewrites the row) instead of failing.
+        """
+        try:
+            return self.service.cache_lookup_text(key)
+        except ArtifactError:
+            self.stats["cache_corrupt"] += 1
+            try:
+                self.service.cache_discard(key)
+            except ArtifactError:
+                pass  # an unusable database; the re-solve still answers
+            return None
+
+    def _store_text(
+        self, key: str, payload: Dict[str, Any], text: str, result: Any = None
+    ) -> None:
+        """Cache one encoded result; losing the write never loses the reply."""
+        try:
+            self.service.cache_store_payload(
+                key, payload, text=text, result=result
+            )
+        except Exception:  # noqa: BLE001 - cache loss ≠ reply loss
+            pass
 
     async def _batch_loop(self) -> None:
         """Drain the admission queue in micro-batches; fan results out."""
@@ -575,11 +634,11 @@ class AllocationServer:
         Unique specs only cross the pipe once; outcomes come back per spec
         as payload dicts or taxonomy exceptions (the supervisor has already
         respawned crashed/hung workers and retried items individually).
-        Successful cacheable payloads are persisted to the result cache
-        *before* waiter fan-out and regardless of whether any waiter is
-        still connected — the no-lost-acked-results half of the
-        at-most-once contract: a client that died waiting gets a cache hit
-        when it retries.
+        Each payload is encoded once; that text is persisted to the result
+        cache (when cacheable) *before* waiter fan-out and regardless of
+        whether any waiter is still connected — the no-lost-acked-results
+        half of the at-most-once contract: a client that died waiting gets a
+        cache hit when it retries.
         """
         assert self._supervisor is not None
         loop = asyncio.get_running_loop()
@@ -612,11 +671,9 @@ class AllocationServer:
                             e.future.set_exception(exc)
                     continue
                 solved_keys += 1
+                text = repro_io.payload_text(outcome)
                 if any(e.use_cache for e in group):
-                    try:
-                        self.service.cache_store_payload(key, outcome)
-                    except Exception:  # noqa: BLE001 - cache loss ≠ reply loss
-                        pass
+                    self._store_text(key, outcome, text)
                 for e in group:
                     meta = {
                         "batch_size": len(batch),
@@ -627,7 +684,7 @@ class AllocationServer:
                         "workers": True,
                     }
                     if not e.future.done():
-                        e.future.set_result((outcome, meta))
+                        e.future.set_result((text, meta))
             if solved_keys:
                 self.stats["backend_batches"] += 1
                 self.stats["backend_solves"] += solved_keys
@@ -635,8 +692,6 @@ class AllocationServer:
             self._supervisor.release()
 
     async def _solve_batch(self, batch: List[_Pending]) -> None:
-        from repro import io as repro_io
-
         loop = asyncio.get_running_loop()
         start = loop.time()
         # Mixed cache policies split into sub-batches: solve_many takes one
@@ -646,34 +701,10 @@ class AllocationServer:
         for entry in batch:
             groups.setdefault(entry.use_cache, []).append(entry)
         for use_cache, group in groups.items():
-            configs = [e.config for e in group]
-            # Every logical request was already booked (hit/miss/coalesced)
-            # at dispatch time by _dispatch_solve; the probes the service
-            # retries inside the batch solve must stay invisible or each
-            # request would be counted twice (count_cache_stats=False).
             try:
-                shapes = {
-                    (c.num_clients, len(c.cost_model.lambda_set))
-                    for c in configs
-                }
-                if len(shapes) == 1:
-                    # Uniform micro-batch (the common case): stack once into
-                    # a columnar ConfigBatch and solve it natively.
-                    solution = await asyncio.to_thread(
-                        self.service.solve_batch,
-                        ConfigBatch.from_configs(configs),
-                        use_cache=use_cache,
-                        count_cache_stats=False,
-                    )
-                    results = [solution[i] for i in range(len(group))]
-                else:
-                    results = await asyncio.to_thread(
-                        self.service.solve_many,
-                        configs,
-                        backend="batched",
-                        use_cache=use_cache,
-                        count_cache_stats=False,
-                    )
+                texts = await asyncio.to_thread(
+                    self._solve_and_encode, group, use_cache
+                )
             except Exception as exc:  # noqa: BLE001 - fanned out per waiter
                 for e in group:
                     self._inflight.pop(e.key, None)
@@ -683,12 +714,7 @@ class AllocationServer:
             self.stats["backend_batches"] += 1
             self.stats["backend_solves"] += len({e.key for e in group})
             solve_ms = (loop.time() - start) * 1000.0
-            payload_by_key: Dict[str, Dict[str, Any]] = {}
-            for e, result in zip(group, results):
-                payload = payload_by_key.get(e.key)
-                if payload is None:
-                    payload = repro_io.result_to_dict(result)
-                    payload_by_key[e.key] = payload
+            for e, text in zip(group, texts):
                 meta = {
                     "batch_size": len(group),
                     "queue_ms": round((start - e.enqueued_at) * 1000.0, 3),
@@ -696,7 +722,50 @@ class AllocationServer:
                 }
                 self._inflight.pop(e.key, None)
                 if not e.future.done():
-                    e.future.set_result((payload, meta))
+                    e.future.set_result((text, meta))
+
+    def _solve_and_encode(
+        self, group: List[_Pending], use_cache: bool
+    ) -> List[str]:
+        """Solve one sub-batch and encode each distinct result once.
+
+        Runs in an executor thread.  Every logical request was already
+        booked (hit/miss/coalesced) at dispatch time by _dispatch_solve, so
+        the probes the service retries inside the batch solve stay
+        invisible (``count_cache_stats=False``); the service also leaves
+        storing to this method (``store_results=False``), which caches each
+        result under the very text its waiters are answered with.
+        """
+        configs = [e.config for e in group]
+        shapes = {
+            (c.num_clients, len(c.cost_model.lambda_set)) for c in configs
+        }
+        if len(shapes) == 1:
+            # Uniform micro-batch (the common case): stack once into a
+            # columnar ConfigBatch and solve it natively.
+            solution = self.service.solve_batch(
+                ConfigBatch.from_configs(configs),
+                use_cache=use_cache,
+                count_cache_stats=False,
+                store_results=False,
+            )
+            results = [solution[i] for i in range(len(group))]
+        else:
+            results = self.service.solve_many(
+                configs,
+                backend="batched",
+                use_cache=use_cache,
+                count_cache_stats=False,
+                store_results=False,
+            )
+        texts: Dict[str, str] = {}
+        for e, result in zip(group, results):
+            if e.key not in texts:
+                payload = repro_io.result_to_dict(result)
+                texts[e.key] = repro_io.payload_text(payload)
+                if use_cache:
+                    self._store_text(e.key, payload, texts[e.key], result)
+        return [texts[e.key] for e in group]
 
     # -- stats ---------------------------------------------------------------
 

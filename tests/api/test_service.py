@@ -161,6 +161,92 @@ class TestPluggableCacheBackend:
         assert info["hits"] == 1 and info["misses"] == 2
 
 
+class TestCachedText:
+    """The text protocol the serve daemon splices into replies."""
+
+    def test_lru_memoizes_text_on_first_probe(self, typical_cfg):
+        from repro import io as repro_io
+        from repro.api.service import LRUResultCache
+
+        result = SolverService().solve(typical_cfg)
+        cache = LRUResultCache(capacity=2)
+        cache.put("a", result)
+        text = cache.get_text("a")
+        assert text == repro_io.payload_text(repro_io.result_to_dict(result))
+        assert cache.get_text("a") is text  # encoded once
+        assert cache.get("a") is result  # the object path never decodes
+        assert cache.get_text("missing") is None
+
+    def test_lru_put_payload_keeps_given_text_and_object(self):
+        from repro.api.service import LRUResultCache
+
+        cache = LRUResultCache(capacity=1)
+        marker = object()
+        cache.put_payload("a", {}, text="T", result=marker)
+        assert cache.get("a") is marker and cache.get_text("a") == "T"
+        cache.put("a", marker)  # a plain put drops the stale text
+        assert cache._texts == {}
+        cache.put_payload("a", {}, text="T", result=marker)
+        cache.put_payload("b", {}, text="U", result=marker)  # evicts a
+        assert cache.get_text("a") is None and cache._texts == {"b": "U"}
+        cache.clear()
+        assert len(cache) == 0 and cache._texts == {}
+
+    def test_lookup_text_counts_like_lookup(self, typical_cfg):
+        from repro import io as repro_io
+
+        service = SolverService()
+        key = config_fingerprint(typical_cfg)
+        assert service.cache_lookup_text(key) is None
+        result = service.solve(typical_cfg)
+        assert service.cache_lookup_text(key) == repro_io.payload_text(
+            repro_io.result_to_dict(result)
+        )
+        info = service.cache_info()
+        assert info["hits"] == 1 and info["misses"] == 2
+
+    def test_store_payload_then_library_solve_returns_the_object(
+        self, typical_cfg
+    ):
+        from repro import io as repro_io
+
+        result = SolverService().solve(typical_cfg)
+        payload = repro_io.result_to_dict(result)
+        text = repro_io.payload_text(payload)
+        service = SolverService()
+        key = config_fingerprint(typical_cfg)
+        service.cache_store_payload(key, payload, text=text, result=result)
+        assert service.solve(typical_cfg) is result
+        assert service.cache_lookup_text(key) is text
+
+    def test_plain_backend_gets_decoded_objects_and_encoded_text(
+        self, typical_cfg
+    ):
+        from repro import io as repro_io
+
+        class DictBackend(dict):
+            capacity = 4
+
+            def put(self, key, result):
+                self[key] = result
+
+        result = SolverService().solve(typical_cfg)
+        payload = repro_io.result_to_dict(result)
+        service = SolverService(cache=DictBackend())
+        service.cache_store_payload("k", payload)
+        assert repro_io.result_to_dict(service.cache_backend["k"]) == payload
+        assert service.cache_lookup_text("k") == repro_io.payload_text(payload)
+
+    def test_store_results_false_reads_but_does_not_write(self, typical_cfg):
+        service = SolverService()
+        key = config_fingerprint(typical_cfg)
+        service.solve_many([typical_cfg], store_results=False)
+        assert service.cache_lookup(key) is None
+        cached = service.solve(typical_cfg)
+        again = service.solve_many([typical_cfg], store_results=False)
+        assert again[0] is cached
+
+
 class TestConcurrencySafety:
     def test_threaded_prime_and_lookup_stay_consistent(self):
         """Hammer the cache from several threads: no exceptions, size

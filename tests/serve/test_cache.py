@@ -7,6 +7,7 @@ half-written row).
 """
 
 import json
+import sqlite3
 import subprocess
 import sys
 
@@ -14,7 +15,7 @@ import pytest
 
 from repro import io as repro_io
 from repro.errors import ArtifactError
-from repro.serve.cache import SqliteResultCache
+from repro.serve.cache import SCHEMA_VERSION, SqliteResultCache
 
 
 @pytest.fixture()
@@ -101,6 +102,135 @@ class TestCorruption:
         cache.put_payload("k", {"kind": "no_such_kind"})
         with pytest.raises(ArtifactError, match="undecodable cache row"):
             cache.get("k")
+
+
+class TestStoredText:
+    def test_text_stored_verbatim_and_returned_unparsed(self, db, quhe_result):
+        cache = SqliteResultCache(db)
+        payload = repro_io.result_to_dict(quhe_result)
+        text = repro_io.payload_text(payload)
+        cache.put_payload("k", payload, text=text)
+        assert cache.get_text("k") == text
+        # The object path reads the same row.
+        assert repro_io.result_to_dict(cache.get("k")) == payload
+
+    def test_put_encodes_the_canonical_text(self, db, quhe_result):
+        cache = SqliteResultCache(db)
+        cache.put("k", quhe_result)
+        assert cache.get_text("k") == repro_io.payload_text(
+            repro_io.result_to_dict(quhe_result)
+        )
+
+    def test_row_carries_kind_version_and_digest(self, db, quhe_result):
+        cache = SqliteResultCache(db)
+        cache.put("k", quhe_result)
+        kind, version, digest = cache._connection().execute(
+            "SELECT kind, version, digest FROM results WHERE key = 'k'"
+        ).fetchone()
+        assert kind == "quhe_result"
+        assert version == repro_io.codec_version("quhe_result")
+        assert len(digest) == 64
+
+    def test_get_text_missing_key_is_none(self, db):
+        assert SqliteResultCache(db).get_text("nope") is None
+
+    def test_discard_removes_the_row(self, db):
+        cache = SqliteResultCache(db)
+        cache.put_payload("k", {"v": 1})
+        cache.discard("k")
+        cache.discard("never-stored")
+        assert cache.get_text("k") is None and len(cache) == 0
+
+
+def _mutate(db, column, value, key="k"):
+    conn = sqlite3.connect(db)
+    with conn:
+        conn.execute(f"UPDATE results SET {column} = ? WHERE key = ?",
+                     (value, key))
+    conn.close()
+
+
+class TestRowChecks:
+    """Rows are spliced into replies unparsed, so reads verify them."""
+
+    @pytest.fixture()
+    def stored(self, db, quhe_result):
+        cache = SqliteResultCache(db)
+        cache.put("k", quhe_result)
+        return cache, cache.get_text("k")
+
+    def test_flipped_payload_byte_raises(self, db, stored):
+        cache, text = stored
+        i = text.index("0")
+        _mutate(db, "payload", text[:i] + "1" + text[i + 1:])
+        with pytest.raises(ArtifactError, match="digest mismatch"):
+            cache.get_text("k")
+
+    @pytest.mark.parametrize("column,value", [
+        ("kind", "allocation"),
+        ("version", 7),
+        ("digest", "0" * 64),
+    ])
+    def test_mutated_metadata_raises(self, db, stored, column, value):
+        cache, _ = stored
+        _mutate(db, column, value)
+        with pytest.raises(ArtifactError, match="digest mismatch"):
+            cache.get_text("k")
+
+    def test_row_moved_to_another_key_raises(self, db, stored):
+        cache, _ = stored
+        _mutate(db, "key", "other")
+        with pytest.raises(ArtifactError, match="digest mismatch"):
+            cache.get_text("other")
+
+    def test_stale_codec_version_is_refused(self, db):
+        """Version gating without parsing: a well-formed row written under
+        another quhe_result format_version is not served."""
+        cache = SqliteResultCache(db)
+        cache.put_payload("k", {"kind": "quhe_result", "format_version": 0})
+        with pytest.raises(ArtifactError, match="format_version 0"):
+            cache.get_text("k")
+        with pytest.raises(ArtifactError, match="format_version 0"):
+            cache.get("k")
+
+
+class TestSchemaVersion:
+    def test_new_database_is_stamped(self, db):
+        SqliteResultCache(db).close()
+        conn = sqlite3.connect(db)
+        assert conn.execute("PRAGMA user_version").fetchone()[0] == \
+            SCHEMA_VERSION
+        conn.close()
+
+    def test_old_three_column_database_is_rebuilt_empty(self, db, quhe_result):
+        conn = sqlite3.connect(db)
+        conn.executescript(
+            "CREATE TABLE results (key TEXT PRIMARY KEY,"
+            " payload TEXT NOT NULL, seq INTEGER NOT NULL);"
+            "CREATE INDEX results_seq ON results (seq);"
+        )
+        with conn:
+            conn.execute(
+                "INSERT INTO results VALUES (?, ?, 1)",
+                ("k", repro_io.payload_text(
+                    repro_io.result_to_dict(quhe_result))),
+            )
+        conn.close()
+
+        cache = SqliteResultCache(db)
+        assert cache.get("k") is None
+        assert len(cache) == 0
+        cache.put("k", quhe_result)
+        assert cache.get("k").objective == quhe_result.objective
+        # Reopening a current database keeps its rows.
+        assert SqliteResultCache(db).get("k") is not None
+
+    def test_newer_schema_is_refused(self, db):
+        conn = sqlite3.connect(db)
+        conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION + 1}")
+        conn.close()
+        with pytest.raises(ArtifactError, match="newer"):
+            SqliteResultCache(db)
 
 
 _WRITER = """
