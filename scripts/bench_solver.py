@@ -3,7 +3,10 @@
 
 Times the SolverService front-door end to end:
 
-* ``solve_cold`` — one full QuHE solve on the paper configuration,
+* ``solve_cold`` — one full QuHE solve on the paper configuration; its
+  params record the summed Stage-3 Newton iterations of that solve
+  (deterministic, so a regression in the iteration count shows without
+  timing noise),
 * ``solve_cached`` — the same config through the fingerprint cache,
 * ``solve_many`` — the Fig.-6 bandwidth-sweep batch (one config per sweep
   point) at several worker counts, with the serial/pooled results checked
@@ -63,13 +66,39 @@ def sweep_configs(seed: int = 2):
     return [base.with_total_bandwidth(float(v)) for v in PAPER_SWEEPS["bandwidth"]]
 
 
+def stage3_newton_iterations(cfg) -> int:
+    """Summed Stage-3 Newton iterations over every Stage-3 call of one
+    cold solve of ``cfg``."""
+    from repro.core import stage3_ipm
+
+    core = stage3_ipm.solve_stage3_batch
+    counts = []
+
+    def counting(*args, **kwargs):
+        result = core(*args, **kwargs)
+        counts.append(int(result.newton_iterations.sum()))
+        return result
+
+    stage3_ipm.solve_stage3_batch = counting
+    try:
+        SolverService(cache_size=0).solve(cfg)
+    finally:
+        stage3_ipm.solve_stage3_batch = core
+    return sum(counts)
+
+
 def bench_single(seed: int = 2):
     service = SolverService()
     cfg = paper_config(seed=seed)
     params = {"seed": seed, "n_clients": cfg.num_clients}
     yield time_op(
         lambda: SolverService(cache_size=0).solve(cfg),
-        op="solve_cold", backend="service", params=params,
+        op="solve_cold", backend="service",
+        params={
+            **params,
+            "stage3_newton_iterations": stage3_newton_iterations(cfg),
+            "cpu_count": os.cpu_count(),
+        },
         min_duration=1.0, max_reps=64,
     )
     service.solve(cfg)  # prime the cache

@@ -9,7 +9,9 @@ fractional programming (Eq. 25-26, after Zhao et al. [28]):
 
 which is convex in ``(p, b, f_c, f_s, T)`` for fixed ``z`` and tight at
 ``z*``.  Alg. 3 alternates the closed-form ``z`` update with the convex
-solve (SciPy SLSQP here, CVX in the paper) until the objective converges.
+solve (CVX's interior-point method in the paper; here a primal-dual
+interior-point core by default, SciPy SLSQP as the reference) until the
+objective converges.
 
 Variables are scaled (W, MHz, GHz, kilo-seconds) so SLSQP sees O(1)
 magnitudes; see DESIGN.md §3 on the CVX→SciPy substitution.
@@ -64,13 +66,15 @@ class Stage3Solver:
 
     Two interchangeable inner engines solve the convex subproblem:
 
-    * ``inner="ipm"`` (default) — the batched log-barrier Newton core of
-      :mod:`repro.core.stage3_ipm`, run here with a batch of one.  This is
+    * ``inner="ipm"`` (default) — the batched primal-dual interior-point
+      core of :mod:`repro.core.stage3_ipm` (Mehrotra predictor-corrector,
+      arrow-structured ``O(n)`` Newton solve, rounds warm-started from the
+      previous primal-dual point), run here with a batch of one.  This is
       the same code path the batched solver uses for K configs at once, so
       scalar and batched results agree by construction.
     * ``inner="slsqp"`` — the legacy SciPy SLSQP formulation, kept as an
       independent reference implementation (the ablation suite and the
-      equivalence tests compare against it).
+      oracle tests in ``tests/core/test_stage3_ipm.py`` compare against it).
     """
 
     def __init__(

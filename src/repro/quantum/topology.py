@@ -178,11 +178,10 @@ class QKDNetwork:
         self._links: Tuple[Link, ...] = tuple(sorted(links, key=lambda l: l.link_id))
         self._routes: Tuple[Route, ...] = tuple(routes)
         self.key_center = key_center
-        self._graph = nx.Graph()
-        for link in self._links:
-            u, v = link.endpoints
-            self._graph.add_edge(u, v, link_id=link.link_id, length_km=link.length_km, beta=link.beta)
-        if key_center not in self._graph:
+        # Built on first use: the solvers never read it, and a large
+        # topology's graph outweighs the rest of its config several times.
+        self._graph: Optional[nx.Graph] = None
+        if not any(key_center in link.endpoints for link in self._links):
             raise ValueError(f"key centre {key_center!r} is not a node of the network")
         for route in self._routes:
             self._validate_route_is_path(route)
@@ -272,6 +271,14 @@ class QKDNetwork:
     @property
     def graph(self) -> nx.Graph:
         """The underlying networkx graph (nodes are city names)."""
+        if self._graph is None:
+            self._graph = nx.Graph()
+            for link in self._links:
+                u, v = link.endpoints
+                self._graph.add_edge(
+                    u, v, link_id=link.link_id, length_km=link.length_km,
+                    beta=link.beta,
+                )
         return self._graph
 
     @property
